@@ -16,7 +16,7 @@ def adapt_result():
 
 def _burst_run():
     wl = ScheduledReplayWorkload(delaunay_burst_profile(peak=500, total_tasks=2000))
-    eng = wl.build_engine(HybridController(0.2), seed=5)
+    eng = wl.make_engine(HybridController(0.2), seed=5)
     return eng.run(max_steps=wl.total_steps())
 
 

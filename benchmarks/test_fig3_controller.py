@@ -22,7 +22,7 @@ def fig3_result():
 def _one_hybrid_run():
     graph = gnm_random(2000, 16, seed=41)
     wl = ReplayGraphWorkload(graph)
-    return wl.build_engine(default_hybrid(0.2), seed=7).run(max_steps=120)
+    return wl.make_engine(default_hybrid(0.2), seed=7).run(max_steps=120)
 
 
 def test_fig3_regeneration(fig3_result, save_report, benchmark):

@@ -43,7 +43,7 @@ def test_graph_generation(benchmark):
 
 def test_engine_step_throughput(benchmark, big_graph):
     wl = ReplayGraphWorkload(big_graph.copy())
-    engine = wl.build_engine(HybridController(0.2), seed=3)
+    engine = wl.make_engine(HybridController(0.2), seed=3)
 
     def hundred_steps():
         for _ in range(100):
@@ -67,7 +67,7 @@ def test_boruvka_throughput(benchmark):
 
     def run():
         app = BoruvkaMST(random_weighted_graph(500, 8, seed=5))
-        app.build_engine(FixedController(32), seed=6).run(max_steps=10**5)
+        app.make_engine(FixedController(32), seed=6).run(max_steps=10**5)
         return app
 
     app = benchmark.pedantic(run, rounds=3, iterations=1)
@@ -82,7 +82,7 @@ def test_ordered_engine_throughput(benchmark):
 
     def run():
         sim = DiscreteEventSimulation(net, num_jobs=40, end_time=15.0, seed=8)
-        return sim.build_engine(FixedController(8), seed=9).run(max_steps=10**6)
+        return sim.make_engine(FixedController(8), seed=9).run(max_steps=10**6)
 
     res = benchmark.pedantic(run, rounds=3, iterations=1)
     assert res.total_committed > 0
@@ -259,7 +259,7 @@ def test_full_engine_fast_vs_reference_step():
 
     def steps(mode):
         wl = ReplayGraphWorkload(graph.copy())
-        engine = wl.build_engine(FixedController(2500), seed=3, engine=mode)
+        engine = wl.make_engine(FixedController(2500), seed=3, engine=mode)
         engine.step()  # warm caches and JIT-able paths
         return _best_of(lambda: engine.step(), repeats=3)
 

@@ -86,7 +86,7 @@ def _gate_graph():
     return graph
 
 
-def _build_engine(graph, instrumented: bool, profiler=None):
+def _make_engine(graph, instrumented: bool, profiler=None):
     """A fast engine over *graph*; the instrumented one binds all channels.
 
     Engines capture the active recorder/registry/profiler at construction,
@@ -98,7 +98,7 @@ def _build_engine(graph, instrumented: bool, profiler=None):
         activate_profiler(profiler)
     try:
         wl = ReplayGraphWorkload(graph.copy())
-        return wl.build_engine(FixedController(GATE_M), seed=3, engine="fast")
+        return wl.make_engine(FixedController(GATE_M), seed=3, engine="fast")
     finally:
         if instrumented:
             deactivate()
@@ -110,8 +110,8 @@ def test_obs_overhead_gate():
     """All three channels on vs all off: < 5% median per-step overhead."""
     graph = _gate_graph()
     profiler = SpanProfiler()
-    base_engine = _build_engine(graph, instrumented=False)
-    instr_engine = _build_engine(graph, instrumented=True, profiler=profiler)
+    base_engine = _make_engine(graph, instrumented=False)
+    instr_engine = _make_engine(graph, instrumented=True, profiler=profiler)
 
     def base_step() -> float:
         t0 = time.perf_counter_ns()
@@ -278,7 +278,7 @@ def test_sampled_profiling_cuts_span_cost():
     graph = gnm_random(1000, 8, seed=5)
     with profiling(sample_every=10) as profiler:
         wl = ReplayGraphWorkload(graph.copy())
-        engine = wl.build_engine(FixedController(200), seed=3, engine="fast")
+        engine = wl.make_engine(FixedController(200), seed=3, engine="fast")
         for _ in range(100):
             engine.step()
     report = profile_report(profiler)

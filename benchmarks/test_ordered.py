@@ -16,7 +16,7 @@ def ord_result():
 def _one_pdes_run():
     net = QueueingNetwork(40, avg_degree=3.0, seed=21)
     sim = DiscreteEventSimulation(net, num_jobs=60, end_time=20.0, seed=22)
-    return sim.build_engine(FixedController(8), seed=23).run(max_steps=10**6)
+    return sim.make_engine(FixedController(8), seed=23).run(max_steps=10**6)
 
 
 def test_ordered_regeneration(ord_result, save_report, benchmark):

@@ -16,7 +16,7 @@ def pareto_result():
 
 def _one_drain():
     wl = ConsumingGraphWorkload(gnm_random(4000, 16, seed=31))
-    return wl.build_engine(HybridController(0.25, m_max=2048), seed=32).run(max_steps=10**6)
+    return wl.make_engine(HybridController(0.25, m_max=2048), seed=32).run(max_steps=10**6)
 
 
 def test_pareto_regeneration(pareto_result, save_report, benchmark):

@@ -47,7 +47,7 @@ MORPH_N, MORPH_D, MORPH_M, MORPH_STEPS = 2000, 8, 500, 60
 def _replay_case(engine_mode: str, select: str):
     graph = gnm_random(GATE_N, GATE_D, seed=GRAPH_SEED)
     workload = ReplayGraphWorkload(graph, select=select)
-    engine = workload.build_engine(
+    engine = workload.make_engine(
         FixedController(GATE_M), seed=ENGINE_SEED, engine=engine_mode
     )
     times = []
@@ -126,7 +126,7 @@ def test_morphing_workload_delta_rebuilds():
         workload = RegeneratingGraphWorkload(
             graph, target_degree=MORPH_D, seed=7, select=select
         )
-        engine = workload.build_engine(
+        engine = workload.make_engine(
             FixedController(MORPH_M), seed=ENGINE_SEED, engine="fast"
         )
         times = []

@@ -50,7 +50,7 @@ def run_profile(name, phases):
     ]:
         controller = CONTROLLERS.create(controller_name, config)
         workload = ScheduledReplayWorkload(phases)
-        engine = workload.build_engine(controller, seed=config.seed)
+        engine = workload.make_engine(controller, seed=config.seed)
         result = engine.run(max_steps=workload.total_steps())
         lags = transition_lags(phases, result.m_trace, mus)
         rows.append((label, " ".join(map(str, lags))))

@@ -24,7 +24,7 @@ def main() -> None:
     print(f"weighted graph: {graph.num_nodes} nodes, {graph.num_edges} edges\n")
 
     app = BoruvkaMST(graph)
-    engine = app.build_engine(HybridController(rho=0.25, m_max=512), seed=SEED + 1)
+    engine = app.make_engine(HybridController(rho=0.25, m_max=512), seed=SEED + 1)
     result = engine.run(max_steps=20000)
 
     reference = kruskal_weight(graph)

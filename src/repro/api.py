@@ -20,7 +20,6 @@ thin wrappers over :func:`run`.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable, Iterable
 
 from repro.config import RunConfig
@@ -55,19 +54,15 @@ def _wrap_tasks(items: Iterable[object]) -> list[Task]:
 def _coerce_config(config) -> RunConfig:
     if isinstance(config, RunConfig):
         return config
-    if isinstance(config, str):
-        warnings.warn(
-            "passing a bare experiment name to repro.api.run is deprecated; "
-            f"use run(RunConfig(experiment={config!r}))",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return RunConfig(experiment=config)
     if isinstance(config, dict):
         return RunConfig.from_dict(config)
+    hint = (
+        f"; for an experiment use run(RunConfig(experiment={config!r}))"
+        if isinstance(config, str)
+        else ""
+    )
     raise ConfigError(
-        f"run() takes a RunConfig, a config dict, or an experiment name, "
-        f"got {type(config).__name__}"
+        f"run() takes a RunConfig or a config dict, got {type(config).__name__}{hint}"
     )
 
 
@@ -142,9 +137,8 @@ def run(
     third party has :func:`repro.register`-ed is accepted.  An explicit
     *controller* instance overrides ``config.controller``; an explicit
     *seed* (which, unlike ``config.seed``, may be a
-    ``numpy.random.Generator``) overrides ``config.seed``.  For backward
-    compatibility *config* may be a bare experiment-name string
-    (deprecated) or a config dict.
+    ``numpy.random.Generator``) overrides ``config.seed``.  *config* may
+    also be a config dict (see :meth:`RunConfig.from_dict`).
     """
     config = _coerce_config(config)
     seed = seed if seed is not None else config.seed
@@ -212,11 +206,7 @@ def run(
                 metrics,
             )
         else:
-            # make_engine is the non-deprecated workload protocol; fall
-            # back to build_engine for third-party workloads predating it
-            make = getattr(workload, "make_engine", None)
-            builder = make if make is not None else workload.build_engine
-            engine = builder(
+            engine = workload.make_engine(
                 _controller_for(config, controller),
                 seed=seed,
                 recorder=recorder,
@@ -249,10 +239,9 @@ def run(
                 task = item if isinstance(item, Task) else Task(payload=item)
                 workset.add(task, float(prio))
             if order_spec is not None:
-                # conflict_policy stays None: task loops keep the
-                # historical greedy item-lock over operator
-                # neighbourhoods, which is what makes relaxed:1 traces
-                # byte-identical to the OrderedEngine's
+                # no conflict_policy: task loops get the default greedy
+                # item locks over operator neighbourhoods, as the
+                # OrderedEngine does, so relaxed:1 traces match its own
                 order = ORDER_POLICIES.create(
                     order_name, priority_of=priority_of, **order_kwargs
                 )

@@ -1,28 +1,18 @@
 """Shared workload plumbing for the application layer.
 
-Historically every app constructed its engine directly: eight bespoke
-``build_engine`` methods with drifting signatures (``des.py`` took
-``engine=`` where the others took ``step_hook=``), all hard-wired to
-:class:`~repro.runtime.engine.OptimisticEngine` /
-:class:`~repro.runtime.ordered.OrderedEngine` — which meant no app could
-run under a :class:`~repro.runtime.core.OrderPolicy`, a selection
-backend, or the sharded runtime.
-
-:class:`AppWorkload` collapses that onto the workload protocol the core
-stack already speaks (``workset`` / ``operator`` / ``policy`` plus
-:meth:`make_engine`), the same shape as
-:class:`~repro.runtime.workloads.GraphWorkloadBase`:
+:class:`AppWorkload` gives every application the workload protocol the
+core stack speaks (``workset`` / ``operator`` / ``policy`` plus
+:meth:`~repro.runtime.workloads.Workload.make_engine`), the same shape
+as :class:`~repro.runtime.workloads.GraphWorkloadBase`:
 
 * apps accept an injected ``workset=`` (how ``repro.api.run`` hands them
   the work-set matching ``config.order`` / ``config.select``), defaulting
-  to the historical :class:`~repro.runtime.workset.RandomWorkset` so
-  direct construction stays byte-identical;
+  to the same selection backend ``repro.api.run`` picks
+  (:func:`~repro.runtime.core.new_workset`);
 * ordered-only apps set :attr:`requires_order` and override
   :meth:`priority_of`; the config/registry layer rejects unordered runs
-  of such apps with an actionable error;
-* the historical ``build_engine`` survives as a thin deprecation shim
-  over :meth:`make_engine`, now with one unified signature accepting
-  *both* ``step_hook=`` and ``engine=`` everywhere.
+  of such apps with an actionable error, and ``make_engine`` wires them
+  onto the ordered engine.
 
 Engine classes are imported at call time only: the apps layer sits below
 the point where engines are wired together, and
@@ -32,36 +22,31 @@ the point where engines are wired together, and
 
 from __future__ import annotations
 
-import warnings
-
+from repro.runtime.core import new_workset
 from repro.runtime.task import Task
-from repro.runtime.workset import RandomWorkset
+from repro.runtime.workloads import Workload
 
 __all__ = ["AppWorkload"]
 
 
-class AppWorkload:
+class AppWorkload(Workload):
     """Mixin giving an application the core-stack workload protocol.
 
     Subclasses call :meth:`_init_workset` early in ``__init__`` (before
     seeding tasks), then seed via :meth:`_seed_task`, and expose
-    ``self.policy``.  Everything else — the ``operator`` property,
-    :meth:`make_engine`, the deprecated :meth:`build_engine` shim — is
-    inherited.
+    ``self.policy``.  Everything else — the ``operator`` property and
+    ``make_engine`` — is inherited.  Ordered-only apps set
+    ``requires_order``; the registry/config layer then rejects unordered
+    commit orders.
     """
-
-    #: ordered-only apps (commits must respect priorities) set this True;
-    #: the registry/config layer then rejects unordered commit orders.
-    requires_order: bool = False
 
     # ------------------------------------------------------------------
     # work-set plumbing
     # ------------------------------------------------------------------
     def _init_workset(self, workset=None) -> None:
-        """Adopt the injected work-set, or the historical default.
+        """Adopt the injected work-set, or the default one.
 
-        ``None`` keeps the app byte-identical to its pre-registry
-        behaviour: an unordered :class:`RandomWorkset` (or, for
+        ``None`` picks the default selection backend (or, for
         ``requires_order`` apps, a priority work-set — those override
         :meth:`_default_workset`).
         """
@@ -70,7 +55,7 @@ class AppWorkload:
         self._priority_seeding = hasattr(self.workset, "take_earliest")
 
     def _default_workset(self):
-        return RandomWorkset()
+        return new_workset()
 
     def _seed_task(self, task: Task) -> None:
         """Add *task* to the work-set, priority-aware when needed."""
@@ -95,82 +80,3 @@ class AppWorkload:
         times) override it.
         """
         return float(task.payload)
-
-    def make_engine(
-        self,
-        controller,
-        *,
-        seed=None,
-        step_hook=None,
-        cost_model=None,
-        recorder=None,
-        metrics=None,
-        engine=None,
-    ):
-        """Wire this app and *controller* into its historical engine.
-
-        This is the non-deprecated path ``repro.api.run`` uses when no
-        explicit ``order=`` is configured; explicit orders go through the
-        core :class:`~repro.runtime.core.Engine` instead.
-        """
-        if self.requires_order:
-            from repro.runtime.ordered import OrderedEngine
-
-            return OrderedEngine(
-                workset=self.workset,
-                operator=self.operator,
-                controller=controller,
-                priority_of=self.priority_of,
-                seed=seed,
-                step_hook=step_hook,
-                cost_model=cost_model,
-                recorder=recorder,
-                metrics=metrics,
-                engine=engine,
-            )
-        from repro.runtime.engine import OptimisticEngine
-
-        return OptimisticEngine(
-            workset=self.workset,
-            operator=self.operator,
-            policy=self.policy,
-            controller=controller,
-            seed=seed,
-            step_hook=step_hook,
-            cost_model=cost_model,
-            recorder=recorder,
-            metrics=metrics,
-            engine=engine,
-        )
-
-    def build_engine(
-        self,
-        controller,
-        seed=None,
-        step_hook=None,
-        cost_model=None,
-        recorder=None,
-        metrics=None,
-        engine=None,
-    ):
-        """Deprecated: use ``repro.api.run`` or :meth:`make_engine`.
-
-        One signature for every app now — the historical per-app drift
-        (``engine=`` vs ``step_hook=``) is gone, and both keywords are
-        accepted everywhere.
-        """
-        warnings.warn(
-            f"{type(self).__name__}.build_engine is deprecated; use "
-            f"repro.api.run(RunConfig(workload=...)) or make_engine()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.make_engine(
-            controller,
-            seed=seed,
-            step_hook=step_hook,
-            cost_model=cost_model,
-            recorder=recorder,
-            metrics=metrics,
-            engine=engine,
-        )

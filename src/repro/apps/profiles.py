@@ -28,8 +28,9 @@ from repro.errors import ApplicationError
 from repro.graph.ccgraph import CCGraph
 from repro.graph.generators import union_of_cliques
 from repro.runtime.conflict import BatchOutcome, ConflictPolicy
+from repro.runtime.core import new_workset
 from repro.runtime.task import Operator, Task
-from repro.runtime.workset import RandomWorkset
+from repro.runtime.workloads import Workload
 
 from typing import TYPE_CHECKING
 
@@ -176,10 +177,10 @@ class _ReplayOperator(Operator):
         return [task]  # stationary within a phase
 
 
-class ScheduledReplayWorkload:
+class ScheduledReplayWorkload(Workload):
     """Piecewise-stationary replay over a phase schedule.
 
-    Wire with :meth:`build_engine`; the phase clock advances through the
+    Wire with :meth:`make_engine`; the phase clock advances through the
     engine's ``step_hook``.  After the last phase the schedule holds the
     final graph indefinitely (cap the run with ``max_steps``).
     """
@@ -193,14 +194,12 @@ class ScheduledReplayWorkload:
         self.graph = self.phases[0].graph
         self.operator: Operator = _ReplayOperator(self)
         self.policy: ConflictPolicy = _DelegatingGraphPolicy(self)
-        self.workset = RandomWorkset()
         self.transitions: list[int] = []  # engine steps where phases switched
         self._fill_workset()
 
     def _fill_workset(self) -> None:
-        self.workset = RandomWorkset()
-        for node in self.graph.nodes():
-            self.workset.add(Task(payload=node))
+        self.workset = new_workset()
+        self.workset.add_all([Task(payload=node) for node in self.graph.nodes()])
 
     @property
     def current_phase(self) -> Phase:
@@ -222,15 +221,10 @@ class ScheduledReplayWorkload:
         engine.workset = self.workset
         self.transitions.append(stats.step + 1)
 
-    def build_engine(self, controller, seed=None) -> "OptimisticEngine":
-        """Engine whose work-set and conflicts follow the schedule."""
-        from repro.runtime.engine import OptimisticEngine
+    def make_engine(self, controller, **kwargs) -> "OptimisticEngine":
+        """Engine whose work-set and conflicts follow the schedule.
 
-        return OptimisticEngine(
-            workset=self.workset,
-            operator=self.operator,
-            policy=self.policy,
-            controller=controller,
-            seed=seed,
-            step_hook=self._advance,
-        )
+        Takes :meth:`Workload.make_engine`'s keywords except
+        ``step_hook``, which the phase clock occupies.
+        """
+        return super().make_engine(controller, step_hook=self._advance, **kwargs)

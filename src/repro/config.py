@@ -33,7 +33,7 @@ from repro.utils.rng import derive_seed
 
 __all__ = ["RunConfig", "SweepConfig"]
 
-#: engine modes a config may pin (``None`` defers to ``REPRO_ENGINE``)
+#: engine modes a config may pin (``None`` means ``"reference"``)
 _ENGINE_MODES = ("reference", "fast")
 #: config payload layout version (bump on incompatible change)
 CONFIG_SCHEMA = 1
@@ -98,14 +98,17 @@ class RunConfig:
         Allocation clamp range; ``m_min=None`` keeps each controller's
         own default.
     engine:
-        ``"reference"`` / ``"fast"`` kernel path, or ``None`` to defer
-        to the ``REPRO_ENGINE`` environment variable.
+        ``"reference"`` / ``"fast"`` kernel path; ``None`` means
+        ``"reference"``.  Engine runs only: an experiment fixes its own
+        engines, so combining ``experiment`` with ``engine`` is a
+        :class:`~repro.errors.ConfigError`.
     select:
         Registered selection-backend name for the work-set
         (``"workset"`` for the reference sampler, ``"incremental"`` for
-        the dense active set — both bit-identical under the same seed),
-        or ``None`` to defer to the ``REPRO_SELECT`` environment
-        variable.  Third-party names registered under
+        the dense active set — both bit-identical under the same seed);
+        ``None`` means ``"incremental"``, the faster of the two on every
+        benchmarked workload.  Engine runs only, like ``engine``.
+        Third-party names registered under
         ``"select-backend"`` are accepted too.  Only meaningful for
         unordered runs: priority/arrival commit orders bring their own
         work-set, so combining them with an explicit ``select`` is a
@@ -155,6 +158,14 @@ class RunConfig:
                 isinstance(self.experiment, str) and bool(self.experiment),
                 f"experiment must be a non-empty string or None, got {self.experiment!r}",
             )
+            # an experiment wires its own engines; a silently ignored
+            # engine/select would misreport what actually ran
+            for name in ("engine", "select"):
+                _require(
+                    getattr(self, name) is None,
+                    f"{name}={getattr(self, name)!r} configures engine runs; "
+                    f"experiment={self.experiment!r} fixes its own",
+                )
         _opt_int(self.seed, "seed")
         for name in ("workload", "controller", "conflict"):
             value = getattr(self, name)

@@ -94,7 +94,7 @@ def evaluate_controller(
     if mu is None:
         mu = oracle_mu(graph, rho, seed=mu_rng)
     workload = ReplayGraphWorkload(graph.copy())
-    engine = workload.build_engine(controller, seed=run_rng)
+    engine = workload.make_engine(controller, seed=run_rng)
     result = engine.run(max_steps=steps)
     settle = result.settling_step(mu, band=band)
     ms = result.m_trace

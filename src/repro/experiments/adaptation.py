@@ -102,7 +102,7 @@ def run(
         rows = []
         for (name, factory), run_rng in zip(controllers.items(), run_rngs):
             wl = ScheduledReplayWorkload(phases)
-            engine = wl.build_engine(factory(), seed=run_rng)
+            engine = wl.make_engine(factory(), seed=run_rng)
             res = engine.run(max_steps=wl.total_steps())
             lags = transition_lags(phases, res.m_trace, mus, band=0.4)
             rows.append(

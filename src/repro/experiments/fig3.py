@@ -59,12 +59,12 @@ def run(
         mu = oracle_mu(graph, rho, seed=mu_rng)
 
         hybrid = default_hybrid(rho)
-        res_h = ReplayGraphWorkload(graph.copy()).build_engine(
+        res_h = ReplayGraphWorkload(graph.copy()).make_engine(
             hybrid, seed=run_rng_h
         ).run(max_steps=steps)
 
         rec_a = RecurrenceAController(rho)
-        res_a = ReplayGraphWorkload(graph.copy()).build_engine(
+        res_a = ReplayGraphWorkload(graph.copy()).make_engine(
             rec_a, seed=run_rng_a
         ).run(max_steps=steps)
 

@@ -62,7 +62,7 @@ def run(
         for rep_rng in spawn(rng, replications):
             workload = ConsumingGraphWorkload(base_graph.copy())
             controller = HybridController(rho, m_max=2048)
-            engine = workload.build_engine(controller, seed=rep_rng)
+            engine = workload.make_engine(controller, seed=rep_rng)
             res = engine.run(max_steps=10**6)
             if res.total_committed != n:
                 raise ExperimentError(f"run at rho={rho} did not drain")

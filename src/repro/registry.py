@@ -410,16 +410,14 @@ def _populate_select_backends(reg: Registry) -> None:
 def select_backend_for(config) -> "object":
     """Work-set instance for ``config.select``.
 
-    ``None`` defers to the ``REPRO_SELECT`` environment variable (via
-    :func:`repro.runtime.core.resolve_select_backend`); explicit names —
+    ``None`` means the default backend
+    (:func:`repro.runtime.core.resolve_select_backend`); explicit names —
     built-in or third-party — resolve through the ``"select-backend"``
     registry, whose unknown-name error lists every available backend.
     """
-    name = config.select
-    if name is None:
-        from repro.runtime.core import resolve_select_backend
+    from repro.runtime.core import resolve_select_backend
 
-        name = resolve_select_backend(None)
+    name = config.select if config.select is not None else resolve_select_backend(None)
     return SELECT_BACKENDS.create(name, config)
 
 

@@ -19,7 +19,7 @@ from repro.runtime.core import (
     resolve_engine_mode,
     resolve_select_backend,
 )
-from repro.runtime.engine import CCEngine, OptimisticEngine
+from repro.runtime.engine import OptimisticEngine
 from repro.runtime.ordered import OrderedBatchOutcome, OrderedEngine, PriorityWorkset
 from repro.runtime.policies import (
     ASYNC_DEFAULT_WINDOW,
@@ -45,6 +45,7 @@ from repro.runtime.workloads import (
     GraphWorkloadBase,
     RegeneratingGraphWorkload,
     ReplayGraphWorkload,
+    Workload,
 )
 from repro.runtime.workset import (
     ArrivalWorkset,
@@ -68,7 +69,6 @@ __all__ = [
     "OrderPolicy",
     "resolve_engine_mode",
     "resolve_select_backend",
-    "CCEngine",
     "OptimisticEngine",
     "OrderedBatchOutcome",
     "OrderedCommitOrder",
@@ -101,6 +101,7 @@ __all__ = [
     "GraphWorkloadBase",
     "RegeneratingGraphWorkload",
     "ReplayGraphWorkload",
+    "Workload",
     "ArrivalWorkset",
     "FifoWorkset",
     "LifoWorkset",

@@ -57,8 +57,8 @@ class ActiveSet(Workset):
 
     Drop-in replacement for :class:`~repro.runtime.workset.RandomWorkset`
     — same uniform m-out-of-n ``π_m`` prefix distribution, bit-identical
-    batches under the same seed — selected via ``select="incremental"``
-    (or the ``REPRO_SELECT`` environment variable).
+    batches under the same seed — selected via ``select="incremental"``,
+    the default.
     """
 
     #: capability flag: workloads route conflict resolution through the

@@ -37,13 +37,14 @@ its own ``controller.update`` span.
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from collections import Counter
 from typing import TYPE_CHECKING
 
 from repro.errors import RuntimeEngineError
+from repro.runtime.active_set import ActiveSet
 from repro.runtime.stats import RunResult, StepStats
+from repro.runtime.workset import RandomWorkset
 
 if TYPE_CHECKING:  # avoid runtime<->control import cycle; core only types it
     from repro.control.base import Controller
@@ -52,59 +53,60 @@ if TYPE_CHECKING:  # avoid runtime<->control import cycle; core only types it
 __all__ = [
     "Engine",
     "OrderPolicy",
+    "new_workset",
     "resolve_engine_mode",
     "resolve_select_backend",
-    "ENGINE_ENV_VAR",
-    "SELECT_ENV_VAR",
 ]
 
-#: environment variable selecting the default conflict-resolution path
-ENGINE_ENV_VAR = "REPRO_ENGINE"
+#: conflict-resolution paths; the first is the default
 _ENGINE_MODES = ("reference", "fast")
+#: built-in selection backends; the first is the default — the fastest
+#: combination on every workload of the whole-run benchmark matrix
+_SELECT_MODES = ("incremental", "workset")
 
-#: environment variable selecting the default work-set selection backend
-SELECT_ENV_VAR = "REPRO_SELECT"
-_SELECT_MODES = ("workset", "incremental")
+
+def _resolve(value: "str | None", modes: "tuple[str, ...]", what: str) -> str:
+    mode = modes[0] if value is None else str(value).strip().lower() or modes[0]
+    if mode not in modes:
+        raise RuntimeEngineError(f"unknown {what} {mode!r}; expected one of {modes}")
+    return mode
 
 
 def resolve_engine_mode(engine: "str | None") -> str:
-    """Normalise an ``engine=`` argument against the ``REPRO_ENGINE`` env var.
+    """Validate an ``engine=`` argument; ``None`` means ``"reference"``.
 
-    ``None`` defers to the environment (default ``"reference"``); anything
-    else must be ``"reference"`` or ``"fast"``.  Both engines accept the
-    same workloads and produce bit-identical results — ``"fast"`` resolves
-    conflicts with the vectorised kernels of :mod:`repro.runtime.kernels`.
+    ``"reference"`` resolves conflicts with the per-task Python walk,
+    ``"fast"`` with the vectorised kernels of
+    :mod:`repro.runtime.kernels`.  Both accept the same workloads and
+    produce bit-identical results.
     """
-    mode = engine if engine is not None else os.environ.get(ENGINE_ENV_VAR, "reference")
-    mode = str(mode).strip().lower() or "reference"
-    if mode not in _ENGINE_MODES:
-        raise RuntimeEngineError(
-            f"unknown engine mode {mode!r}; expected one of {_ENGINE_MODES}"
-        )
-    return mode
+    return _resolve(engine, _ENGINE_MODES, "engine mode")
 
 
 def resolve_select_backend(select: "str | None") -> str:
-    """Normalise a ``select=`` argument against the ``REPRO_SELECT`` env var.
+    """Validate a built-in ``select=`` name; ``None`` means ``"incremental"``.
 
-    ``None`` defers to the environment (default ``"workset"``); anything
-    else must be ``"workset"`` (the reference
-    :class:`~repro.runtime.workset.RandomWorkset`) or ``"incremental"``
-    (the dense :class:`~repro.runtime.active_set.ActiveSet`).  Both
-    backends draw the same uniform ``π_m`` prefixes and are bit-identical
-    under the same seed, so either may serve any workload on either
-    engine mode.  Third-party backends registered under
-    ``"select-backend"`` in :mod:`repro.registry` are addressed by their
-    registry name through :class:`repro.config.RunConfig` instead of this
-    resolver.
+    ``"incremental"`` is the dense
+    :class:`~repro.runtime.active_set.ActiveSet`, ``"workset"`` the
+    reference :class:`~repro.runtime.workset.RandomWorkset`.  Both draw
+    the same uniform ``π_m`` prefixes and are bit-identical under the
+    same seed, so either may serve any workload on either engine mode.
+    Third-party backends registered under ``"select-backend"`` in
+    :mod:`repro.registry` are addressed by their registry name through
+    :class:`repro.config.RunConfig` instead of this resolver.
     """
-    mode = select if select is not None else os.environ.get(SELECT_ENV_VAR, "workset")
-    mode = str(mode).strip().lower() or "workset"
-    if mode not in _SELECT_MODES:
-        raise RuntimeEngineError(
-            f"unknown select backend {mode!r}; expected one of {_SELECT_MODES}"
-        )
-    return mode
+    return _resolve(select, _SELECT_MODES, "select backend")
+
+
+def new_workset(select: "str | None" = None) -> "ActiveSet | RandomWorkset":
+    """A fresh, empty work-set of the built-in backend *select* names.
+
+    Every internal default work-set comes from here, so direct workload
+    construction and :func:`repro.api.run` pick the same backend.
+    """
+    if resolve_select_backend(select) == "incremental":
+        return ActiveSet()
+    return RandomWorkset()
 
 
 class OrderPolicy(ABC):
@@ -227,10 +229,9 @@ class Engine:
         records nothing.
     engine:
         ``"reference"`` (per-task Python walk) or ``"fast"`` (vectorised
-        kernels, see :mod:`repro.runtime.kernels`).  ``None`` defers to
-        the ``REPRO_ENGINE`` environment variable.  The two paths are
-        bit-identical — same seeds give the same commits, aborts, and
-        observability traces.
+        kernels, see :mod:`repro.runtime.kernels`); ``None`` means
+        ``"reference"``.  The two paths are bit-identical — same seeds
+        give the same commits, aborts, and observability traces.
     """
 
     def __init__(

@@ -23,12 +23,11 @@ policy, keeping its historical constructor signature.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from repro.runtime.conflict import ConflictPolicy
-from repro.runtime.core import ENGINE_ENV_VAR, Engine, resolve_engine_mode
+from repro.runtime.core import Engine, resolve_engine_mode
 from repro.runtime.policies import UnorderedCommitOrder
 from repro.runtime.stats import StepStats
 from repro.runtime.task import Operator
@@ -37,7 +36,7 @@ from repro.runtime.workset import Workset
 if TYPE_CHECKING:  # avoid runtime<->control import cycle; engine only types it
     from repro.control.base import Controller
 
-__all__ = ["OptimisticEngine", "CCEngine", "resolve_engine_mode", "ENGINE_ENV_VAR"]
+__all__ = ["OptimisticEngine", "resolve_engine_mode"]
 
 
 class OptimisticEngine(Engine):
@@ -70,10 +69,9 @@ class OptimisticEngine(Engine):
         :func:`repro.obs.profiling`), else records nothing.
     engine:
         ``"reference"`` (per-task Python walk) or ``"fast"`` (vectorised
-        kernels, see :mod:`repro.runtime.kernels`).  ``None`` defers to
-        the ``REPRO_ENGINE`` environment variable.  The two paths are
-        bit-identical — same seeds give the same commits, aborts, and
-        observability traces.
+        kernels, see :mod:`repro.runtime.kernels`); ``None`` means
+        ``"reference"``.  The two paths are bit-identical — same seeds
+        give the same commits, aborts, and observability traces.
     """
 
     def __init__(
@@ -104,22 +102,3 @@ class OptimisticEngine(Engine):
             profiler=profiler,
             engine=engine,
         )
-
-
-class CCEngine(OptimisticEngine):
-    """Deprecated pre-rename alias of :class:`OptimisticEngine`.
-
-    Kept so code written against the original class name keeps running;
-    instantiation raises a :class:`DeprecationWarning`.  New code should
-    construct :class:`OptimisticEngine` (or go through
-    :func:`repro.api.run` with a :class:`repro.config.RunConfig`).
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        warnings.warn(
-            "CCEngine is deprecated; use OptimisticEngine "
-            "(or repro.api.run with a RunConfig)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)

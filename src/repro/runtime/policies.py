@@ -46,8 +46,9 @@ from repro.graph.partition import (
     two_phase_commit_mask,
     two_phase_commit_mask_fast,
 )
+from repro.runtime.conflict import ItemLockPolicy
 from repro.runtime.core import OrderPolicy
-from repro.runtime.kernels import greedy_lock_mask, sample_window_draws
+from repro.runtime.kernels import sample_window_draws
 from repro.runtime.task import Operator
 from repro.utils.rng import ensure_rng, substream
 
@@ -342,13 +343,15 @@ class OrderedCommitOrder(OrderPolicy):
         conflict_policy: "ConflictPolicy | None" = None,
     ) -> None:
         self.priority_of = priority_of
-        #: optional :class:`~repro.runtime.conflict.ConflictPolicy`
-        #: deciding the conflict phase; ``None`` keeps the historical
-        #: greedy item-lock semantics over operator neighbourhoods.
-        #: Graph runs pass their ``ExplicitGraphPolicy`` here so ordered
-        #: and unordered engines detect the *same* conflicts — the
-        #: precondition for the relaxed theory bridge.
-        self.conflict_policy = conflict_policy
+        #: the :class:`~repro.runtime.conflict.ConflictPolicy` deciding
+        #: the conflict phase; ``None`` means greedy item locks over
+        #: operator neighbourhoods.  Graph runs pass their
+        #: ``ExplicitGraphPolicy`` here so ordered and unordered engines
+        #: detect the *same* conflicts — the precondition for the
+        #: relaxed theory bridge.
+        self.conflict_policy = (
+            conflict_policy if conflict_policy is not None else ItemLockPolicy()
+        )
         self.conflict_aborts_total = 0
         self.order_aborts_total = 0
         self._seed: "int | None" = None
@@ -408,49 +411,23 @@ class OrderedCommitOrder(OrderPolicy):
     def _conflict_phase(
         self, batch: "list[tuple[float, Task]]"
     ) -> "tuple[list[tuple[float, Task]], list[tuple[float, Task]]]":
-        """Greedy item-lock partition of *batch* into (survivors, aborted)."""
+        """Greedy partition of *batch* into (survivors, aborted) by the
+        conflict policy, walked earliest-first."""
         eng = self.engine
-        if self.conflict_policy is not None:
-            # delegate to the pluggable policy (graph-edge semantics for
-            # graph runs); positions map straight back because resolve
-            # slots are ascending within the walked order
-            tasks = [task for _, task in batch]
-            if eng.engine_mode == "fast":
-                outcome = self.conflict_policy.resolve_fast(tasks, eng.operator)
-            else:
-                outcome = self.conflict_policy.resolve(tasks, eng.operator)
-            if outcome.commit_slots is not None:
-                survivors = [batch[i] for i in outcome.commit_slots]
-                aborted = [batch[i] for i in outcome.abort_slots]
-                return survivors, aborted
-            committed_uids = {task.uid for task in outcome.committed}
-            survivors = [entry for entry in batch if entry[1].uid in committed_uids]
-            aborted = [entry for entry in batch if entry[1].uid not in committed_uids]
-            return survivors, aborted
+        # positions map straight back because resolve slots are
+        # ascending within the walked order
+        tasks = [task for _, task in batch]
         if eng.engine_mode == "fast":
-            codes: dict = {}
-            flat: list[int] = []
-            ptr = np.zeros(len(batch) + 1, dtype=np.int64)
-            for i, (_, task) in enumerate(batch):
-                for item in set(eng.operator.neighborhood(task)):
-                    flat.append(codes.setdefault(item, len(codes)))
-                ptr[i + 1] = len(flat)
-            mask = greedy_lock_mask(
-                ptr, np.asarray(flat, dtype=np.int64), num_items=len(codes)
-            )
-            survivors = [entry for entry, ok in zip(batch, mask) if ok]
-            aborted = [entry for entry, ok in zip(batch, mask) if not ok]
+            outcome = self.conflict_policy.resolve_fast(tasks, eng.operator)
+        else:
+            outcome = self.conflict_policy.resolve(tasks, eng.operator)
+        if outcome.commit_slots is not None:
+            survivors = [batch[i] for i in outcome.commit_slots]
+            aborted = [batch[i] for i in outcome.abort_slots]
             return survivors, aborted
-        held: set = set()
-        survivors = []
-        aborted = []
-        for prio, task in batch:  # batch is already earliest-first
-            items = set(eng.operator.neighborhood(task))
-            if held.isdisjoint(items):
-                held |= items
-                survivors.append((prio, task))
-            else:
-                aborted.append((prio, task))
+        committed_uids = {task.uid for task in outcome.committed}
+        survivors = [entry for entry in batch if entry[1].uid in committed_uids]
+        aborted = [entry for entry in batch if entry[1].uid not in committed_uids]
         return survivors, aborted
 
     def resolve(self, batch: "list[tuple[float, Task]]") -> OrderedBatchOutcome:

@@ -534,7 +534,9 @@ def run_sharded(
 
     *run_id* names the run across all of its streams; one is derived
     when needed (deterministically if you pass your own — see
-    :func:`repro.obs.new_run_id`).  Returns the engine's run result.
+    :func:`repro.obs.new_run_id`).  As in :func:`repro.api.run`, an
+    explicit *seed* overrides ``config.seed``.  Returns the engine's run
+    result.
     """
     # call-time up-reach into api/registry (sanctioned; see config.py)
     from repro.api import _controller_for, _order_engine
@@ -542,6 +544,7 @@ def run_sharded(
     from repro.registry import WORKLOADS, parse_order_spec
     from repro.runtime.policies import ShardedCommitOrder
 
+    seed = seed if seed is not None else config.seed
     name, kwargs = parse_order_spec(config.order or "sharded")
     if name != "sharded":
         raise ConfigError(

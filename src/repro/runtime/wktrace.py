@@ -65,7 +65,9 @@ import numpy as np
 from repro.errors import ObservabilityError, ReplayMismatchError
 from repro.graph.ccgraph import CCGraph
 from repro.runtime.conflict import ExplicitGraphPolicy, ItemLockPolicy
+from repro.runtime.core import new_workset
 from repro.runtime.task import Operator, Task
+from repro.runtime.workloads import Workload
 
 __all__ = ["WorkloadTrace", "WorkloadCapture", "TraceReplayWorkload"]
 
@@ -417,7 +419,7 @@ class _CaptureOperator(Operator):
         cap._inner_op.on_abort(task)
 
 
-class WorkloadCapture:
+class WorkloadCapture(Workload):
     """Wrap a workload so the run it powers is recorded as a trace.
 
     Speaks the full workload protocol (``workset`` / ``operator`` /
@@ -487,48 +489,6 @@ class WorkloadCapture:
         if inner is not None:
             return inner(task)
         return float(task.payload)
-
-    def make_engine(
-        self,
-        controller,
-        *,
-        seed=None,
-        step_hook=None,
-        cost_model=None,
-        recorder=None,
-        metrics=None,
-        engine=None,
-    ):
-        """Wire the capture into the engine family the workload needs."""
-        if self.requires_order:
-            from repro.runtime.ordered import OrderedEngine
-
-            return OrderedEngine(
-                workset=self.workset,
-                operator=self.operator,
-                controller=controller,
-                priority_of=self.priority_of,
-                seed=seed,
-                step_hook=step_hook,
-                cost_model=cost_model,
-                recorder=recorder,
-                metrics=metrics,
-                engine=engine,
-            )
-        from repro.runtime.engine import OptimisticEngine
-
-        return OptimisticEngine(
-            workset=self.workset,
-            operator=self.operator,
-            policy=self.policy,
-            controller=controller,
-            seed=seed,
-            step_hook=step_hook,
-            cost_model=cost_model,
-            recorder=recorder,
-            metrics=metrics,
-            engine=engine,
-        )
 
     # ------------------------------------------------------------------
     def finalize(self) -> WorkloadTrace:
@@ -601,7 +561,7 @@ class _ReplayOperator(Operator):
         return new_tasks
 
 
-class TraceReplayWorkload:
+class TraceReplayWorkload(Workload):
     """Deterministic re-execution of a recorded workload trace.
 
     Replay tasks carry the trace id as payload (plain ints, so the
@@ -627,9 +587,7 @@ class TraceReplayWorkload:
 
                 workset = PriorityWorkset()
             else:
-                from repro.runtime.workset import RandomWorkset
-
-                workset = RandomWorkset()
+                workset = new_workset()
         self.workset = workset
         self._priority_seeding = hasattr(workset, "take_earliest")
 
@@ -678,48 +636,6 @@ class TraceReplayWorkload:
     def priority_of(self, task: Task) -> float:
         priority = self._priorities.get(task.payload)
         return float(priority) if priority is not None else float(task.payload)
-
-    def make_engine(
-        self,
-        controller,
-        *,
-        seed=None,
-        step_hook=None,
-        cost_model=None,
-        recorder=None,
-        metrics=None,
-        engine=None,
-    ):
-        """Wire the replay into the engine family the trace requires."""
-        if self.requires_order:
-            from repro.runtime.ordered import OrderedEngine
-
-            return OrderedEngine(
-                workset=self.workset,
-                operator=self.operator,
-                controller=controller,
-                priority_of=self.priority_of,
-                seed=seed,
-                step_hook=step_hook,
-                cost_model=cost_model,
-                recorder=recorder,
-                metrics=metrics,
-                engine=engine,
-            )
-        from repro.runtime.engine import OptimisticEngine
-
-        return OptimisticEngine(
-            workset=self.workset,
-            operator=self.operator,
-            policy=self.policy,
-            controller=controller,
-            seed=seed,
-            step_hook=step_hook,
-            cost_model=cost_model,
-            recorder=recorder,
-            metrics=metrics,
-            engine=engine,
-        )
 
     # ------------------------------------------------------------------
     def replay_complete(self) -> bool:

@@ -17,8 +17,9 @@ workload, matching the evaluation setups of §4:
   the closest synthetic analogue of a long-running irregular application
   in steady state.
 
-Each workload exposes ``workset``, ``operator`` and ``policy`` and a
-:meth:`build_engine` convenience.
+Each workload exposes ``workset``, ``operator`` and ``policy`` and
+inherits :meth:`Workload.make_engine`, the one engine builder every
+workload — graph, application, capture or trace replay — shares.
 """
 
 from __future__ import annotations
@@ -32,20 +33,64 @@ from repro.errors import RuntimeEngineError
 if TYPE_CHECKING:  # avoid runtime<->control import cycle
     from repro.control.base import Controller
 from repro.graph.ccgraph import CCGraph
-from repro.runtime.active_set import ActiveSet
 from repro.runtime.conflict import ConflictPolicy, ExplicitGraphPolicy
-from repro.runtime.core import resolve_select_backend
+from repro.runtime.core import new_workset
 from repro.runtime.engine import OptimisticEngine
 from repro.runtime.task import Operator, Task
-from repro.runtime.workset import RandomWorkset, Workset
+from repro.runtime.workset import Workset
 from repro.utils.rng import ensure_rng
 
 __all__ = [
+    "Workload",
     "GraphWorkloadBase",
     "ReplayGraphWorkload",
     "ConsumingGraphWorkload",
     "RegeneratingGraphWorkload",
 ]
+
+
+class Workload:
+    """The workload protocol's engine wiring, shared by every workload.
+
+    A workload supplies ``workset``, ``operator`` and ``policy`` (and,
+    when :attr:`requires_order` is set, ``priority_of``);
+    :meth:`make_engine` binds them and a controller into the engine
+    family the workload needs.  :func:`repro.api.run` calls it when no
+    explicit ``order=`` is configured.
+    """
+
+    #: ordered-only workloads (commits must respect priorities) set this
+    #: True; they run on the ordered engine over a priority work-set
+    requires_order: bool = False
+
+    def make_engine(
+        self,
+        controller: "Controller",
+        *,
+        seed=None,
+        step_hook=None,
+        cost_model=None,
+        recorder=None,
+        metrics=None,
+        engine: "str | None" = None,
+    ):
+        """Wire this workload and *controller* into an engine."""
+        kwargs = dict(
+            workset=self.workset,
+            operator=self.operator,
+            controller=controller,
+            seed=seed,
+            step_hook=step_hook,
+            cost_model=cost_model,
+            recorder=recorder,
+            metrics=metrics,
+            engine=engine,
+        )
+        if self.requires_order:
+            from repro.runtime.ordered import OrderedEngine
+
+            return OrderedEngine(priority_of=self.priority_of, **kwargs)
+        return OptimisticEngine(policy=self.policy, **kwargs)
 
 
 class _GraphOperator(Operator):
@@ -64,14 +109,14 @@ class _GraphOperator(Operator):
         return self._workload.on_commit_batch(tasks)
 
 
-class GraphWorkloadBase:
+class GraphWorkloadBase(Workload):
     """Common plumbing: graph, work-set, explicit-graph conflict policy.
 
     The work-set comes from the selection backend: ``select=`` names a
     built-in backend (``"workset"`` for the reference
-    :class:`~repro.runtime.workset.RandomWorkset`, ``"incremental"`` for
-    the dense :class:`~repro.runtime.active_set.ActiveSet`; ``None``
-    defers to the ``REPRO_SELECT`` environment variable), or pass a
+    :class:`~repro.runtime.workset.RandomWorkset`, ``"incremental"`` —
+    the default — for the dense
+    :class:`~repro.runtime.active_set.ActiveSet`), or pass a
     ready-made instance via ``workset=`` (how registry-named third-party
     backends arrive).  Backends advertising ``incremental`` maintenance
     also switch the conflict policy onto memoised CSR deltas.  Both
@@ -89,8 +134,7 @@ class GraphWorkloadBase:
         if workset is not None and select is not None:
             raise RuntimeEngineError("pass select= or workset=, not both")
         if workset is None:
-            mode = resolve_select_backend(select)
-            workset = ActiveSet() if mode == "incremental" else RandomWorkset()
+            workset = new_workset(select)
         self.graph = graph
         self.operator: Operator = _GraphOperator(self)
         self.policy: ConflictPolicy = ExplicitGraphPolicy(
@@ -122,53 +166,6 @@ class GraphWorkloadBase:
             if created:
                 new_tasks.extend(created)
         return new_tasks
-
-    def make_engine(
-        self,
-        controller: "Controller",
-        *,
-        seed=None,
-        step_hook=None,
-        cost_model=None,
-        recorder=None,
-        metrics=None,
-        engine: "str | None" = None,
-    ) -> OptimisticEngine:
-        """Alias of :meth:`build_engine` matching the workload protocol
-        the app layer speaks (``repro.apps.base.AppWorkload``)."""
-        return self.build_engine(
-            controller,
-            seed=seed,
-            step_hook=step_hook,
-            cost_model=cost_model,
-            recorder=recorder,
-            metrics=metrics,
-            engine=engine,
-        )
-
-    def build_engine(
-        self,
-        controller: "Controller",
-        seed=None,
-        step_hook=None,
-        cost_model=None,
-        recorder=None,
-        metrics=None,
-        engine: "str | None" = None,
-    ) -> OptimisticEngine:
-        """Wire this workload and *controller* into an engine."""
-        return OptimisticEngine(
-            workset=self.workset,
-            operator=self.operator,
-            policy=self.policy,
-            controller=controller,
-            seed=seed,
-            step_hook=step_hook,
-            cost_model=cost_model,
-            recorder=recorder,
-            metrics=metrics,
-            engine=engine,
-        )
 
 
 class ReplayGraphWorkload(GraphWorkloadBase):

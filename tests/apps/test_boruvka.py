@@ -64,7 +64,7 @@ class TestBoruvkaCorrectness:
     def test_matches_kruskal_exactly(self):
         g = random_weighted_graph(300, 6, seed=2)
         app = BoruvkaMST(g)
-        app.build_engine(HybridController(0.25), seed=3).run(max_steps=10000)
+        app.make_engine(HybridController(0.25), seed=3).run(max_steps=10000)
         assert app.total_weight == pytest.approx(kruskal_weight(g), abs=1e-9)
         assert app.num_components() == 1
         assert len(app.mst_edges) == 299
@@ -72,14 +72,14 @@ class TestBoruvkaCorrectness:
     def test_mst_edges_are_graph_edges(self):
         g = random_weighted_graph(80, 4, seed=4)
         app = BoruvkaMST(g)
-        app.build_engine(FixedController(8), seed=5).run(max_steps=5000)
+        app.make_engine(FixedController(8), seed=5).run(max_steps=5000)
         for u, v, w in app.mst_edges:
             assert g.neighbors(u).get(v) == w
 
     def test_mst_is_acyclic_spanning(self):
         g = random_weighted_graph(100, 5, seed=6)
         app = BoruvkaMST(g)
-        app.build_engine(FixedController(16), seed=7).run(max_steps=5000)
+        app.make_engine(FixedController(16), seed=7).run(max_steps=5000)
         # union-find over mst edges: no cycle, covers all nodes
         parent = list(range(100))
 
@@ -100,7 +100,7 @@ class TestBoruvkaCorrectness:
     def test_weight_matches_kruskal_property(self, n, deg, seed, m):
         g = random_weighted_graph(n, deg, seed=seed)
         app = BoruvkaMST(g)
-        app.build_engine(FixedController(m), seed=seed).run(max_steps=20000)
+        app.make_engine(FixedController(m), seed=seed).run(max_steps=20000)
         assert app.total_weight == pytest.approx(kruskal_weight(g), abs=1e-9)
 
     def test_single_node_graph(self):
@@ -114,7 +114,7 @@ class TestBoruvkaCorrectness:
         g.add_edge(0, 1, 0.3)
         g.add_edge(2, 3, 0.4)
         app = BoruvkaMST(g)
-        app.build_engine(FixedController(4), seed=8).run(max_steps=100)
+        app.make_engine(FixedController(4), seed=8).run(max_steps=100)
         assert app.num_components() == 2
         assert app.total_weight == pytest.approx(0.7)
 
@@ -123,6 +123,6 @@ class TestParallelConflicts:
     def test_conflicts_occur_under_wide_allocation(self):
         g = random_weighted_graph(200, 6, seed=9)
         app = BoruvkaMST(g)
-        res = app.build_engine(FixedController(64), seed=10).run(max_steps=5000)
+        res = app.make_engine(FixedController(64), seed=10).run(max_steps=5000)
         assert res.total_aborted > 0  # contention on shared components
         assert app.total_weight == pytest.approx(kruskal_weight(g), abs=1e-9)

@@ -43,17 +43,17 @@ class TestAgainstSequentialOracle:
         """The headline PDES invariant: any allocation yields the identical
         committed event history."""
         sim = DiscreteEventSimulation(network, num_jobs=25, end_time=30.0, seed=2)
-        sim.build_engine(FixedController(m), seed=3).run(max_steps=10**6)
+        sim.make_engine(FixedController(m), seed=3).run(max_steps=10**6)
         assert sim.history == reference
 
     def test_history_chronological(self, network):
         sim = DiscreteEventSimulation(network, num_jobs=25, end_time=30.0, seed=2)
-        sim.build_engine(FixedController(16), seed=4).run(max_steps=10**6)
+        sim.make_engine(FixedController(16), seed=4).run(max_steps=10**6)
         assert sim.check_history_ordered()
 
     def test_hybrid_controller_matches_too(self, network, reference):
         sim = DiscreteEventSimulation(network, num_jobs=25, end_time=30.0, seed=2)
-        sim.build_engine(HybridController(0.3), seed=5).run(max_steps=10**6)
+        sim.make_engine(HybridController(0.3), seed=5).run(max_steps=10**6)
         assert sim.history == reference
 
     @settings(max_examples=6, deadline=None)
@@ -62,7 +62,7 @@ class TestAgainstSequentialOracle:
         net = QueueingNetwork(8, avg_degree=2.0, seed=seed)
         ref = sequential_history(net, num_jobs=6, end_time=10.0, seed=seed)
         sim = DiscreteEventSimulation(net, num_jobs=6, end_time=10.0, seed=seed)
-        sim.build_engine(FixedController(m), seed=seed).run(max_steps=10**6)
+        sim.make_engine(FixedController(m), seed=seed).run(max_steps=10**6)
         assert sim.history == ref
 
 
@@ -71,7 +71,7 @@ class TestParallelismStructure:
         runs = {}
         for m in (1, 8):
             sim = DiscreteEventSimulation(network, num_jobs=25, end_time=30.0, seed=2)
-            res = sim.build_engine(FixedController(m), seed=6).run(max_steps=10**6)
+            res = sim.make_engine(FixedController(m), seed=6).run(max_steps=10**6)
             runs[m] = len(res)
         assert runs[8] < runs[1]
 
@@ -81,7 +81,7 @@ class TestParallelismStructure:
         outcomes = {}
         for m in (8, 64):
             sim = DiscreteEventSimulation(network, num_jobs=25, end_time=30.0, seed=2)
-            eng = sim.build_engine(FixedController(m), seed=7)
+            eng = sim.make_engine(FixedController(m), seed=7)
             res = eng.run(max_steps=10**6)
             outcomes[m] = (len(res), eng.conflict_aborts_total + eng.order_aborts_total)
         steps8, aborts8 = outcomes[8]
@@ -91,7 +91,7 @@ class TestParallelismStructure:
 
     def test_order_aborts_happen(self, network):
         sim = DiscreteEventSimulation(network, num_jobs=25, end_time=30.0, seed=2)
-        eng = sim.build_engine(FixedController(16), seed=8)
+        eng = sim.make_engine(FixedController(16), seed=8)
         eng.run(max_steps=10**6)
         assert eng.order_aborts_total > 0
         assert eng.conflict_aborts_total > 0

@@ -1,12 +1,11 @@
-"""Differential suite: legacy app wiring vs the unified registry path.
+"""Differential suite: every app runs identically on every engine path.
 
-Every application used to be driven by hand — build the input, build the
-workload, call ``build_engine`` with an explicitly constructed
-controller.  That spelling is now a deprecation shim over the same
-pipeline the registry uses, and this suite proves the collapse lossless:
-for each app, the legacy spelling and ``run(RunConfig(workload=...))``
-must produce **byte-identical** observability traces, not merely equal
-summary statistics.
+``RunConfig.engine`` (``"reference"`` per-task walk or ``"fast"``
+vectorised kernels) and ``RunConfig.select`` (``"workset"`` reference
+sampler or ``"incremental"`` active set) are pure performance knobs.
+For each application in the catalog, all four combinations must produce
+identical step stats and **byte-identical** observability traces, not
+merely equal summary statistics.
 """
 
 import warnings
@@ -15,10 +14,8 @@ import pytest
 
 from repro import RunConfig
 from repro.api import run
-from repro.apps import build_app_input, workload_from_input
+from repro.apps.catalog import APP_WORKLOADS
 from repro.obs import TraceRecorder
-from repro.registry import CONTROLLERS
-from repro.utils.rng import derive_seed
 
 SEED = 23
 
@@ -34,31 +31,33 @@ SCALES = {
     "sp": 12,
 }
 
-
-def _legacy_trace(name, cfg):
-    """The pre-registry spelling, exactly as historical callers wrote it."""
-    seed_in = derive_seed(SEED, "workload", name)
-    source = build_app_input(name, SCALES[name], seed_in)
-    app = workload_from_input(name, source, seed=seed_in)
-    controller = CONTROLLERS.create(cfg.controller, cfg)
-    rec = TraceRecorder()
-    with pytest.warns(DeprecationWarning, match="make_engine"):
-        engine = app.build_engine(
-            controller, seed=SEED, recorder=rec, engine=cfg.engine
-        )
-    engine.run()
-    return rec.to_jsonl()
+PATHS = [
+    (engine, select)
+    for engine in ("reference", "fast")
+    for select in ("workset", "incremental")
+]
 
 
-def _registry_trace(name, cfg):
+def _run(name, engine, select):
+    cfg = RunConfig(
+        workload=f"{name}:{SCALES[name]}", seed=SEED, engine=engine, select=select
+    )
     rec = TraceRecorder()
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        run(cfg, recorder=rec)
-    return rec.to_jsonl()
+        result = run(cfg, recorder=rec)
+    return [s.as_dict() for s in result.steps], rec.to_jsonl()
+
+
+def test_every_catalog_app_is_covered():
+    assert set(SCALES) == set(APP_WORKLOADS)
 
 
 @pytest.mark.parametrize("name", sorted(SCALES))
-def test_legacy_and_registry_paths_are_byte_identical(name):
-    cfg = RunConfig(workload=f"{name}:{SCALES[name]}", seed=SEED)
-    assert _legacy_trace(name, cfg) == _registry_trace(name, cfg)
+def test_engine_and_select_paths_are_byte_identical(name):
+    ref_steps, ref_trace = _run(name, *PATHS[0])
+    assert ref_steps, "the differential only means something if steps ran"
+    for engine, select in PATHS[1:]:
+        steps, trace = _run(name, engine, select)
+        assert steps == ref_steps, (engine, select)
+        assert trace == ref_trace, (engine, select)

@@ -47,7 +47,7 @@ class TestHandComputedFlows:
         net.add_edge(0, 1, 7)
         net.add_edge(1, 2, 4)
         app = PreflowPush(net)
-        app.build_engine(FixedController(2), seed=0).run(max_steps=10000)
+        app.make_engine(FixedController(2), seed=0).run(max_steps=10000)
         assert app.flow_value == 4
         assert app.check_conservation()
 
@@ -58,7 +58,7 @@ class TestHandComputedFlows:
         net.add_edge(0, 2, 5)
         net.add_edge(2, 3, 2)
         app = PreflowPush(net)
-        app.build_engine(FixedController(4), seed=1).run(max_steps=10000)
+        app.make_engine(FixedController(4), seed=1).run(max_steps=10000)
         assert app.flow_value == 5
 
     def test_classic_diamond(self):
@@ -70,7 +70,7 @@ class TestHandComputedFlows:
         net.add_edge(2, 3, 10)
         net.add_edge(1, 2, 1)
         app = PreflowPush(net)
-        app.build_engine(FixedController(3), seed=2).run(max_steps=10000)
+        app.make_engine(FixedController(3), seed=2).run(max_steps=10000)
         assert app.flow_value == 20
 
     def test_zero_flow_when_disconnected(self):
@@ -78,7 +78,7 @@ class TestHandComputedFlows:
         net.add_edge(0, 1, 5)
         net.add_edge(2, 3, 5)
         app = PreflowPush(net)
-        app.build_engine(FixedController(2), seed=3).run(max_steps=10000)
+        app.make_engine(FixedController(2), seed=3).run(max_steps=10000)
         assert app.flow_value == 0
         assert app.check_conservation()
 
@@ -89,7 +89,7 @@ class TestAgainstScipyOracle:
         net = random_flow_network(60, avg_out_degree=3.0, seed=seed)
         ref = reference_max_flow(net)
         app = PreflowPush(net)
-        app.build_engine(HybridController(0.25), seed=seed + 10).run(max_steps=10**6)
+        app.make_engine(HybridController(0.25), seed=seed + 10).run(max_steps=10**6)
         assert app.flow_value == ref
         assert app.check_conservation()
         assert len(app.workset) == 0
@@ -100,14 +100,14 @@ class TestAgainstScipyOracle:
         net = random_flow_network(24, avg_out_degree=2.5, seed=seed)
         ref = reference_max_flow(net)
         app = PreflowPush(net)
-        app.build_engine(FixedController(m), seed=seed).run(max_steps=10**6)
+        app.make_engine(FixedController(m), seed=seed).run(max_steps=10**6)
         assert app.flow_value == ref
         assert app.check_conservation()
 
     def test_no_frozen_nodes_on_valid_runs(self):
         net = random_flow_network(50, seed=9)
         app = PreflowPush(net)
-        app.build_engine(FixedController(8), seed=10).run(max_steps=10**6)
+        app.make_engine(FixedController(8), seed=10).run(max_steps=10**6)
         assert not app._frozen
 
 
@@ -115,6 +115,6 @@ class TestParallelStructure:
     def test_conflicts_under_wide_allocation(self):
         net = random_flow_network(120, avg_out_degree=4.0, seed=4)
         app = PreflowPush(net)
-        res = app.build_engine(FixedController(32), seed=5).run(max_steps=10**6)
+        res = app.make_engine(FixedController(32), seed=5).run(max_steps=10**6)
         assert res.total_aborted > 0
         assert app.flow_value == reference_max_flow(net)

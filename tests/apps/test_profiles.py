@@ -74,7 +74,7 @@ class TestScheduledReplay:
     def test_transitions_at_phase_boundaries(self):
         phases = step_profile(2, 40, 100, steps_per_phase=20)
         wl = ScheduledReplayWorkload(phases)
-        eng = wl.build_engine(FixedController(4), seed=0)
+        eng = wl.make_engine(FixedController(4), seed=0)
         eng.run(max_steps=wl.total_steps())
         assert wl.transitions == [20, 40]
 
@@ -84,7 +84,7 @@ class TestScheduledReplay:
             Phase(3, graph_for_parallelism(5, 25)),
         ]
         wl = ScheduledReplayWorkload(phases)
-        eng = wl.build_engine(FixedController(2), seed=1)
+        eng = wl.make_engine(FixedController(2), seed=1)
         eng.run(max_steps=6)
         assert len(wl.workset) == 25  # second phase graph size
 
@@ -103,7 +103,7 @@ class TestScheduledReplay:
             Phase(30, graph_for_parallelism(100, 100), "parallel"),
         ]
         wl = ScheduledReplayWorkload(phases)
-        eng = wl.build_engine(FixedController(20), seed=2)
+        eng = wl.make_engine(FixedController(20), seed=2)
         res = eng.run(max_steps=60)
         rs = res.r_trace
         assert rs[:30].mean() > 0.9  # one big clique
@@ -112,7 +112,7 @@ class TestScheduledReplay:
     def test_controller_retracks_after_switch(self):
         phases = step_profile(4, 150, 600, steps_per_phase=50)
         wl = ScheduledReplayWorkload(phases)
-        eng = wl.build_engine(HybridController(0.2), seed=3)
+        eng = wl.make_engine(HybridController(0.2), seed=3)
         res = eng.run(max_steps=wl.total_steps())
         ms = res.m_trace
         # allocation grows after the low->high switch and shrinks back
@@ -122,6 +122,6 @@ class TestScheduledReplay:
     def test_last_phase_holds(self):
         phases = [Phase(2, graph_for_parallelism(2, 10))]
         wl = ScheduledReplayWorkload(phases)
-        eng = wl.build_engine(FixedController(2), seed=4)
+        eng = wl.make_engine(FixedController(2), seed=4)
         res = eng.run(max_steps=10)  # beyond the schedule
         assert len(res) == 10

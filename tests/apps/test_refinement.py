@@ -17,7 +17,7 @@ from repro.errors import ApplicationError
 def refined_run():
     mesh = random_input_mesh(120, seed=1)
     wl = RefinementWorkload(mesh, min_angle=25.0, min_edge=0.03)
-    engine = wl.build_engine(HybridController(0.25), seed=2)
+    engine = wl.make_engine(HybridController(0.25), seed=2)
     result = engine.run(max_steps=4000)
     return mesh, wl, result
 
@@ -57,7 +57,7 @@ class TestRefinementRun(object):
         # smaller instance so the O(V·T) check is cheap
         mesh = random_input_mesh(40, seed=3)
         wl = RefinementWorkload(mesh, min_angle=22.0, min_edge=0.05)
-        wl.build_engine(FixedController(4), seed=4).run(max_steps=2000)
+        wl.make_engine(FixedController(4), seed=4).run(max_steps=2000)
         assert mesh.check_delaunay()
 
     def test_quality_improves(self, refined_run):

@@ -68,7 +68,7 @@ class TestClosedLoop:
     def test_tracks_on_real_graph(self):
         graph = gnm_random(1000, 12, seed=1)
         wl = ReplayGraphWorkload(graph)
-        eng = wl.build_engine(NoiseAdaptiveHybridController(0.2), seed=2)
+        eng = wl.make_engine(NoiseAdaptiveHybridController(0.2), seed=2)
         res = eng.run(max_steps=150)
         assert res.r_trace[60:].mean() == pytest.approx(0.2, abs=0.06)
 

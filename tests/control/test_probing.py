@@ -50,7 +50,7 @@ class TestEndToEnd:
         graph = gnm_random(1500, 16, seed=0)
         wl = ReplayGraphWorkload(graph)
         ctrl = ProbingHybridController(0.2, n=1500)
-        eng = wl.build_engine(ctrl, seed=1)
+        eng = wl.make_engine(ctrl, seed=1)
         res = eng.run(max_steps=160)
         assert res.r_trace[80:].mean() == pytest.approx(0.2, abs=0.06)
         # the post-probe jump should land in the right decade immediately

@@ -40,7 +40,7 @@ class TestWindowStd:
         graph = gnm_random(800, 10, seed=0)
         m = 60
         wl = ReplayGraphWorkload(graph)
-        eng = wl.build_engine(FixedController(m), seed=1)
+        eng = wl.make_engine(FixedController(m), seed=1)
         res = eng.run(max_steps=400)
         rs = res.r_trace
         r_mean = float(rs.mean())

@@ -66,12 +66,13 @@ class TestMeasureProfile:
 
 class TestProfileFromRun:
     def test_tracks_engine_commits(self):
-        from repro.control.fixed import FixedController
+        from repro import RunConfig, run
         from repro.graph.generators import gnm_random
-        from repro.runtime.workloads import ConsumingGraphWorkload
 
-        wl = ConsumingGraphWorkload(gnm_random(60, 4, seed=0))
-        res = wl.build_engine(FixedController(8), seed=1).run()
+        res = run(
+            RunConfig(workload="consuming", controller="fixed", m=8, seed=1),
+            graph=gnm_random(60, 4, seed=0),
+        )
         prof = profile_from_run(res)
         assert len(prof) == len(res)
         assert prof.available.sum() == res.total_committed

@@ -15,6 +15,8 @@ Regenerate (only after an intentional semantic change!) with::
 
 from pathlib import Path
 
+import pytest
+
 from repro.control import HybridController
 from repro.obs import TraceRecorder
 from repro.runtime.wktrace import TraceReplayWorkload, WorkloadCapture, WorkloadTrace
@@ -26,12 +28,18 @@ GRAPH_SEED = 2011  # SPAA 2011
 ENGINE_SEED = 8
 
 
-def golden_trace() -> WorkloadTrace:
-    """Record the reference run: Boruvka MST at scale 60 under Algorithm 1."""
+def golden_trace(select=None) -> WorkloadTrace:
+    """Record the reference run: Boruvka MST at scale 60 under Algorithm 1.
+
+    *select* names the selection backend (``None``: the default one).
+    """
     from repro.apps import build_app_input, workload_from_input
+    from repro.runtime.core import new_workset
 
     source = build_app_input("boruvka", SCALE, seed=GRAPH_SEED)
-    app = workload_from_input("boruvka", source, seed=GRAPH_SEED)
+    app = workload_from_input(
+        "boruvka", source, seed=GRAPH_SEED, workset=new_workset(select)
+    )
     capture = WorkloadCapture(app, label="boruvka")
     capture.make_engine(HybridController(0.25, m_max=64), seed=ENGINE_SEED).run()
     return capture.finalize()
@@ -80,3 +88,18 @@ class TestGoldenWorkloadTrace:
             return rec.to_jsonl()
 
         assert leg("workset") == leg("incremental")
+
+
+@pytest.mark.parametrize("select", ["workset", "incremental"])
+class TestGoldenWorkloadTraceOnEachBackend:
+    """The fixture records and replays identically on either backend."""
+
+    def test_recording_matches_fixture(self, select):
+        assert golden_trace(select).to_jsonl() == FIXTURE.read_text(encoding="utf-8")
+
+    def test_replay_completes(self, select):
+        from repro.runtime.core import new_workset
+
+        workload = TraceReplayWorkload.load(FIXTURE, workset=new_workset(select))
+        workload.make_engine(HybridController(0.25, m_max=64), seed=3).run()
+        assert workload.replay_complete()

@@ -27,7 +27,7 @@ RUN_SETTINGS = settings(max_examples=15, deadline=None)
 def record_run(controller, n, d, graph_seed, engine_seed, max_steps=25):
     rec = TraceRecorder()
     workload = ConsumingGraphWorkload(gnm_random(n, d, seed=graph_seed))
-    engine = workload.build_engine(controller, seed=engine_seed, recorder=rec)
+    engine = workload.make_engine(controller, seed=engine_seed, recorder=rec)
     engine.run(max_steps=max_steps)
     return rec.events
 

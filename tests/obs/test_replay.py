@@ -37,7 +37,7 @@ def record_run(controller, n=60, d=6, graph_seed=3, engine_seed=11, max_steps=40
     """Run *controller* on a draining gnm workload under a fresh recorder."""
     rec = TraceRecorder()
     workload = ConsumingGraphWorkload(gnm_random(n, d, seed=graph_seed))
-    engine = workload.build_engine(controller, seed=engine_seed, recorder=rec)
+    engine = workload.make_engine(controller, seed=engine_seed, recorder=rec)
     engine.run(max_steps=max_steps)
     return rec.events
 

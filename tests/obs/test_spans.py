@@ -205,7 +205,7 @@ class TestEngineIntegration:
 
         wl = ReplayGraphWorkload(gnm_random(60, 4, seed=1))
         with profiling() as prof:
-            engine = wl.build_engine(FixedController(8), seed=2, engine="fast")
+            engine = wl.make_engine(FixedController(8), seed=2, engine="fast")
             for _ in range(5):
                 engine.step()
         stats = prof.stats()
@@ -227,6 +227,6 @@ class TestEngineIntegration:
         from repro.runtime.workloads import ReplayGraphWorkload
 
         wl = ReplayGraphWorkload(gnm_random(60, 4, seed=1))
-        engine = wl.build_engine(FixedController(8), seed=2)
+        engine = wl.make_engine(FixedController(8), seed=2)
         assert engine.profiler is None
         engine.step()  # must not raise without any profiler

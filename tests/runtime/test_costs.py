@@ -24,7 +24,7 @@ class TestUnitCosts:
     def test_matches_launch_counts(self):
         g = gnm_random(100, 8, seed=0)
         wl = ConsumingGraphWorkload(g)
-        eng = wl.build_engine(FixedController(16), seed=1)
+        eng = wl.make_engine(FixedController(16), seed=1)
         res = eng.run()
         assert eng.costs.commit_cost == res.total_committed
         assert eng.costs.abort_cost == res.total_aborted
@@ -33,7 +33,7 @@ class TestUnitCosts:
     def test_default_model_is_unit(self):
         g = empty_graph(5)
         wl = ConsumingGraphWorkload(g)
-        eng = wl.build_engine(FixedController(5), seed=2)
+        eng = wl.make_engine(FixedController(5), seed=2)
         assert isinstance(eng.cost_model, UnitCostModel)
         eng.run()
         assert eng.costs.total == 5.0
@@ -43,7 +43,7 @@ class TestScaledAbortCosts:
     def test_aborts_scaled(self):
         g = complete_graph(10)
         wl = ReplayGraphWorkload(g)
-        eng = wl.build_engine(
+        eng = wl.make_engine(
             FixedController(10), seed=3, cost_model=ScaledAbortCostModel(3.0)
         )
         eng.step()  # 1 commit, 9 aborts
@@ -53,7 +53,7 @@ class TestScaledAbortCosts:
     def test_free_aborts(self):
         g = complete_graph(6)
         wl = ReplayGraphWorkload(g)
-        eng = wl.build_engine(
+        eng = wl.make_engine(
             FixedController(6), seed=4, cost_model=ScaledAbortCostModel(0.0)
         )
         eng.step()
@@ -67,10 +67,10 @@ class TestScaledAbortCosts:
     def test_expensive_aborts_shift_waste_up(self):
         g = gnm_random(200, 10, seed=5)
         wl1 = ConsumingGraphWorkload(g.copy())
-        eng1 = wl1.build_engine(FixedController(32), seed=6)
+        eng1 = wl1.make_engine(FixedController(32), seed=6)
         eng1.run()
         wl2 = ConsumingGraphWorkload(g.copy())
-        eng2 = wl2.build_engine(
+        eng2 = wl2.make_engine(
             FixedController(32), seed=6, cost_model=ScaledAbortCostModel(4.0)
         )
         eng2.run()

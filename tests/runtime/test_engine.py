@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import RunConfig, run
 from repro.control.fixed import FixedController
 from repro.errors import RuntimeEngineError
 from repro.graph.generators import complete_graph, empty_graph, gnm_random
@@ -46,16 +47,17 @@ class TestStepSemantics:
 
     def test_commits_plus_aborts_equals_launched(self):
         g = gnm_random(100, 8, seed=1)
-        wl = ConsumingGraphWorkload(g)
-        eng = wl.build_engine(FixedController(16), seed=2)
-        res = eng.run(max_steps=50)
+        res = run(
+            RunConfig(workload="consuming", controller="fixed", m=16, seed=2, max_steps=50),
+            graph=g,
+        )
         for s in res.steps:
             assert s.committed + s.aborted == s.launched
 
     def test_aborted_tasks_return_to_workset(self):
         g = complete_graph(6)
         wl = ReplayGraphWorkload(g)
-        eng = wl.build_engine(FixedController(6), seed=3)
+        eng = wl.make_engine(FixedController(6), seed=3)
         stats = eng.step()
         assert stats.committed == 1 and stats.aborted == 5
         assert stats.workset_after == 6  # replay re-adds everything
@@ -63,14 +65,14 @@ class TestStepSemantics:
     def test_consuming_workload_drains_graph(self):
         g = gnm_random(40, 4, seed=4)
         wl = ConsumingGraphWorkload(g)
-        eng = wl.build_engine(FixedController(8), seed=5)
+        eng = wl.make_engine(FixedController(8), seed=5)
         res = eng.run()
         assert g.num_nodes == 0
         assert res.total_committed == 40
 
     def test_max_steps_respected(self):
         wl = ReplayGraphWorkload(gnm_random(30, 3, seed=6))
-        eng = wl.build_engine(FixedController(4), seed=7)
+        eng = wl.make_engine(FixedController(4), seed=7)
         res = eng.run(max_steps=12)
         assert len(res) == 12
         assert eng.steps_executed == 12
@@ -122,7 +124,7 @@ class TestRetryTracking:
     def test_retries_counted_and_cleared(self):
         g = complete_graph(5)
         wl = ConsumingGraphWorkload(g)
-        eng = wl.build_engine(FixedController(5), seed=0)
+        eng = wl.make_engine(FixedController(5), seed=0)
         eng.step()  # 1 commit, 4 aborts
         assert eng.max_pending_retries() == 1
         assert len(eng.retry_counts) == 4
@@ -132,7 +134,7 @@ class TestRetryTracking:
     def test_heavy_contention_grows_retries(self):
         g = complete_graph(20)
         wl = ReplayGraphWorkload(g)
-        eng = wl.build_engine(FixedController(20), seed=1)
+        eng = wl.make_engine(FixedController(20), seed=1)
         for _ in range(10):
             eng.step()
         assert eng.max_pending_retries() >= 2
@@ -157,7 +159,7 @@ class TestEngineInvariantsPropertyBased:
             return out
 
         wl.policy.resolve = spy
-        wl.build_engine(FixedController(m), seed=seed).run(max_steps=200)
+        wl.make_engine(FixedController(m), seed=seed).run(max_steps=200)
         for batch in committed_batches:
             batch_set = set(batch)
             for u in batch:
@@ -167,8 +169,9 @@ class TestEngineInvariantsPropertyBased:
     @given(st.integers(1, 50), st.integers(1, 16), st.integers(0, 50))
     def test_work_conservation(self, n, m, seed):
         """Total commits equal the number of tasks for consuming workloads."""
-        g = empty_graph(n)
-        wl = ConsumingGraphWorkload(g)
-        res = wl.build_engine(FixedController(m), seed=seed).run()
+        res = run(
+            RunConfig(workload="consuming", controller="fixed", m=m, seed=seed),
+            graph=empty_graph(n),
+        )
         assert res.total_committed == n
         assert res.total_aborted == 0

@@ -82,7 +82,7 @@ def _run(workload_key: str, controller_key: str, mode: str, select: "str | None"
     recorder = TraceRecorder()
     workload = WORKLOADS[workload_key](select=select)
     controller = CONTROLLERS[controller_key]()
-    engine = workload.build_engine(
+    engine = workload.make_engine(
         controller, seed=SEED, recorder=recorder, engine=mode
     )
     engine.run(max_steps=MAX_STEPS)
@@ -138,23 +138,33 @@ class TestSelectBackendSelection:
         with pytest.raises(RuntimeEngineError):
             resolve_select_backend("quantum")
 
-    def test_env_var_default(self, monkeypatch):
+    def test_default_is_incremental(self):
         from repro.runtime.core import resolve_select_backend
 
-        monkeypatch.delenv("REPRO_SELECT", raising=False)
-        assert resolve_select_backend(None) == "workset"
-        monkeypatch.setenv("REPRO_SELECT", "incremental")
         assert resolve_select_backend(None) == "incremental"
-        assert resolve_select_backend("workset") == "workset"  # explicit wins
+        assert resolve_select_backend("workset") == "workset"
 
-    def test_workload_builds_active_set_from_env(self, monkeypatch):
+    def test_one_default_backend(self):
+        # direct construction, the app layer, trace replays and the
+        # registry path must all pick the backend api.run picks
+        from repro import RunConfig
+        from repro.apps import build_app_input, workload_from_input
+        from repro.registry import select_backend_for
         from repro.runtime.active_set import ActiveSet
 
-        monkeypatch.setenv("REPRO_SELECT", "incremental")
-        workload = ReplayGraphWorkload(gnm_random(20, 2, seed=0))
-        assert isinstance(workload.workset, ActiveSet)
-        monkeypatch.setenv("REPRO_SELECT", "workset")
-        workload = ReplayGraphWorkload(gnm_random(20, 2, seed=0))
+        from repro.apps.profiles import ScheduledReplayWorkload, step_profile
+        from repro.runtime.wktrace import TraceReplayWorkload, WorkloadTrace
+
+        app = workload_from_input("boruvka", build_app_input("boruvka", 10, seed=0))
+        defaults = [
+            ReplayGraphWorkload(gnm_random(20, 2, seed=0)).workset,
+            app.workset,
+            TraceReplayWorkload(WorkloadTrace()).workset,
+            ScheduledReplayWorkload(step_profile(1, 2, 4, steps_per_phase=1)).workset,
+            select_backend_for(RunConfig()),
+        ]
+        assert all(isinstance(workset, ActiveSet) for workset in defaults)
+        workload = ReplayGraphWorkload(gnm_random(20, 2, seed=0), select="workset")
         assert isinstance(workload.workset, RandomWorkset)
 
     def test_select_and_workset_are_exclusive(self):
@@ -178,11 +188,12 @@ class TestSelectBackendSelection:
 
         assert result("incremental") == result("workset")
 
-    def test_duck_typed_operator_without_apply_batch(self, monkeypatch):
-        # for_each accepts any object with neighborhood/apply — the
+    def test_duck_typed_operator_without_apply_batch(self):
+        # task loops accept any object with neighborhood/apply — the
         # batched commit path must fall back to the per-task walk for
         # operators that define neither apply_batch nor on_abort
-        from repro.api import for_each
+        from repro import RunConfig
+        from repro.api import run
 
         class DuckOp:
             def neighborhood(self, task):
@@ -195,13 +206,17 @@ class TestSelectBackendSelection:
                 pass
 
         def trace(select):
-            monkeypatch.setenv("REPRO_SELECT", select)
-            res = for_each(range(50), DuckOp(), max_steps=400, seed=11)
+            res = run(
+                RunConfig(workload="consuming", select=select, max_steps=400),
+                initial=range(50),
+                operator=DuckOp(),
+                seed=11,
+            )
             return [s.as_dict() for s in res.steps]
 
         assert trace("incremental") == trace("workset")
 
-    def test_duck_typed_operator_without_on_abort(self, monkeypatch):
+    def test_duck_typed_operator_without_on_abort(self):
         # no on_abort and no aborts (empty neighbourhoods): both the
         # commit fallback and the abort-override check must tolerate it
         from repro.api import for_each
@@ -213,7 +228,6 @@ class TestSelectBackendSelection:
             def apply(self, task):
                 return []
 
-        monkeypatch.setenv("REPRO_SELECT", "incremental")
         res = for_each(range(30), MinimalOp(), max_steps=100, seed=2)
         assert res.total_committed == 30
 
@@ -267,7 +281,7 @@ class TestOrderedDifferential:
 
         def run(mode):
             sim = DiscreteEventSimulation(network, num_jobs=25, end_time=12.0, seed=5)
-            engine = sim.build_engine(
+            engine = sim.make_engine(
                 CONTROLLERS[controller_key](), seed=9, engine=mode
             )
             result = engine.run(max_steps=10**5)
@@ -355,14 +369,11 @@ class TestEngineModeSelection:
         with pytest.raises(RuntimeEngineError):
             resolve_engine_mode("turbo")
 
-    def test_env_var_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    def test_default_is_reference(self):
         assert resolve_engine_mode(None) == "reference"
-        monkeypatch.setenv("REPRO_ENGINE", "fast")
-        assert resolve_engine_mode(None) == "fast"
-        assert resolve_engine_mode("reference") == "reference"  # explicit wins
+        assert resolve_engine_mode("fast") == "fast"
 
     def test_engine_records_mode(self):
         workload = ReplayGraphWorkload(gnm_random(20, 2, seed=0))
-        engine = workload.build_engine(FixedController(4), seed=0, engine="fast")
+        engine = workload.make_engine(FixedController(4), seed=0, engine="fast")
         assert engine.engine_mode == "fast"

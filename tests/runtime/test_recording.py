@@ -13,7 +13,7 @@ from repro.runtime.workloads import ConsumingGraphWorkload
 @pytest.fixture
 def sample_run():
     wl = ConsumingGraphWorkload(gnm_random(80, 6, seed=0))
-    eng = wl.build_engine(HybridController(0.25), seed=1)
+    eng = wl.make_engine(HybridController(0.25), seed=1)
     return eng.run()
 
 
@@ -21,7 +21,7 @@ class TestRoundTrip:
     def test_recorder_captures_every_step(self, tmp_path):
         wl = ConsumingGraphWorkload(gnm_random(50, 4, seed=2))
         recorder = RunRecorder(metadata={"workload": "gnm50"})
-        eng = wl.build_engine(FixedController(8), seed=3, step_hook=recorder)
+        eng = wl.make_engine(FixedController(8), seed=3, step_hook=recorder)
         res = eng.run()
         assert len(recorder.records) == len(res)
         out = tmp_path / "run.jsonl"
@@ -81,10 +81,10 @@ class TestDiff:
 
     def test_improvement_is_negative(self):
         g = gnm_random(120, 8, seed=4)
-        slow = ConsumingGraphWorkload(g.copy()).build_engine(
+        slow = ConsumingGraphWorkload(g.copy()).make_engine(
             FixedController(2), seed=5
         ).run()
-        fast = ConsumingGraphWorkload(g.copy()).build_engine(
+        fast = ConsumingGraphWorkload(g.copy()).make_engine(
             FixedController(32), seed=5
         ).run()
         d = diff_runs(slow, fast)

@@ -112,7 +112,7 @@ class TestOneShardByteIdentity:
 
     def test_agrees_with_golden_fixture_modulo_engine_name(self):
         # the order path stamps engine="Engine" in run_start where the
-        # golden fixture's build_engine path stamped "OptimisticEngine";
+        # golden fixture's make_engine path stamped "OptimisticEngine";
         # every other byte must match the checked-in fixture
         if ENGINE_SEED != 8:
             pytest.skip("golden fixture is pinned to the seed-0 corpus")
@@ -233,3 +233,24 @@ class TestProcessBackedRuntime:
         plain = TraceRecorder()
         api_run(plain_config, graph=_graph(), seed=ENGINE_SEED, recorder=plain)
         assert rec.to_jsonl() == plain.to_jsonl()
+
+    def test_pool_run_defaults_to_config_seed(self):
+        # no seed= anywhere: both entry points must draw config.seed, not
+        # fresh OS entropy, and agree step for step
+        config = RunConfig(
+            workload="consuming",
+            rho=0.25,
+            m_max=64,
+            order="sharded:2",
+            max_steps=25,
+            seed=ENGINE_SEED,
+        )
+        pool_rec = TraceRecorder()
+        pool = run_sharded(config, _graph(), recorder=pool_rec)
+
+        from repro.api import run as api_run
+
+        local_rec = TraceRecorder()
+        local = api_run(config, graph=_graph(), recorder=local_rec)
+        assert [s.as_dict() for s in pool.steps] == [s.as_dict() for s in local.steps]
+        assert pool_rec.to_jsonl() == local_rec.to_jsonl()

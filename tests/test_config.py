@@ -49,6 +49,21 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("engine", "fast"),
+        ("engine", "reference"),
+        ("select", "incremental"),
+        ("select", "workset"),
+    ])
+    def test_engine_knobs_rejected_on_experiment(self, field, value):
+        # an experiment wires its own engines: a silently ignored knob
+        # would misreport what ran (same rule as shards without sharding)
+        with pytest.raises(ConfigError, match=f"{field}=.*experiment='fig3'"):
+            RunConfig(experiment="fig3", **{field: value})
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict({"experiment": "fig3", field: value})
+        assert getattr(RunConfig(**{field: value}), field) == value
+
     def test_positional_experiment_compat(self):
         # the historical parallel.RunConfig("fig1", seed=1, quick=True) shape
         cfg = RunConfig("fig1", seed=1, quick=True)
@@ -125,13 +140,18 @@ class TestRunConfigOrderValidation:
 
 class TestRunConfigSerialisation:
     def test_round_trip_is_exact(self):
-        cfg = RunConfig(
-            "fig3", seed=11, quick=True, workload="consuming",
-            controller="aimd", conflict="explicit-graph", rho=0.4,
-            m_min=2, m_max=256, engine="fast", max_steps=50, order="async:8",
-        )
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
-        assert RunConfig.from_json(cfg.to_json()) == cfg
+        # engine/select are engine-run fields, so the experiment fields
+        # round-trip in a config of their own
+        for cfg in (
+            RunConfig(
+                seed=11, workload="consuming", controller="aimd",
+                conflict="explicit-graph", rho=0.4, m_min=2, m_max=256,
+                engine="fast", select="workset", max_steps=50,
+            ),
+            RunConfig("fig3", seed=11, quick=True, order="async:8"),
+        ):
+            assert RunConfig.from_dict(cfg.to_dict()) == cfg
+            assert RunConfig.from_json(cfg.to_json()) == cfg
 
     def test_json_is_canonical(self):
         text = RunConfig("fig1").to_json()

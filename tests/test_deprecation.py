@@ -1,4 +1,4 @@
-"""Deprecated entry points keep working — loudly."""
+"""One way in: the removed entry points stay removed, the kept ones never warn."""
 
 import warnings
 
@@ -6,61 +6,16 @@ import pytest
 
 import repro
 from repro.control.fixed import FixedController
-from repro.runtime import CCEngine, OptimisticEngine
-from repro.runtime.conflict import ItemLockPolicy
-from repro.runtime.task import CallbackOperator, Task
-from repro.runtime.workset import RandomWorkset
+from repro.errors import ConfigError
 
 
-def _tiny_engine(cls):
-    workset = RandomWorkset()
-    workset.add_all([Task(payload=i) for i in range(8)])
-    return cls(
-        workset=workset,
-        operator=CallbackOperator(
-            neighborhood=lambda task: {task.payload}, apply=lambda task: []
-        ),
-        policy=ItemLockPolicy(),
-        controller=FixedController(2),
-        seed=0,
-    )
-
-
-class TestCCEngineShim:
-    def test_warns_and_subclasses_optimistic_engine(self):
-        with pytest.warns(DeprecationWarning, match="CCEngine is deprecated"):
-            engine = _tiny_engine(CCEngine)
-        assert isinstance(engine, OptimisticEngine)
-
-    def test_shim_runs_identically(self):
-        reference = _tiny_engine(OptimisticEngine).run()
-        with pytest.warns(DeprecationWarning):
-            shimmed = _tiny_engine(CCEngine).run()
-        assert shimmed.total_committed == reference.total_committed
-        assert shimmed.steps == reference.steps
-
-    def test_importable_from_both_module_paths(self):
-        from repro.runtime.engine import CCEngine as from_engine
-
-        assert from_engine is CCEngine
+class TestRemovedEntryPoints:
+    def test_bare_experiment_name_rejected(self):
+        with pytest.raises(ConfigError, match="RunConfig\\(experiment="):
+            repro.run("fig3")
 
 
 class TestBareExperimentNameShim:
-    def test_run_with_bare_string_warns_and_runs(self, monkeypatch):
-        seen = {}
-
-        def _fake(seed, quick):
-            seen["args"] = (seed, quick)
-            return "result"
-
-        monkeypatch.setitem(
-            repro.registry("experiment")._entries, "test-depr-exp", _fake
-        )
-        with pytest.warns(DeprecationWarning, match="bare experiment name"):
-            out = repro.run("test-depr-exp")
-        assert out == "result"
-        assert seen["args"] == (None, False)
-
     def test_run_config_does_not_warn(self, monkeypatch):
         monkeypatch.setitem(
             repro.registry("experiment")._entries,
@@ -73,7 +28,7 @@ class TestBareExperimentNameShim:
 
 
 class TestAppBuildEngineShim:
-    """``AppWorkload.build_engine`` is a shim over ``make_engine``."""
+    """``make_engine`` is the one engine builder every app inherits."""
 
     def _app(self, seed=0):
         from repro.apps import build_app_input, workload_from_input
@@ -82,30 +37,11 @@ class TestAppBuildEngineShim:
             "coloring", build_app_input("coloring", 40, seed=seed), seed=seed
         )
 
-    def test_build_engine_warns_with_replacement_named(self):
-        app = self._app()
-        with pytest.warns(DeprecationWarning, match="make_engine"):
-            app.build_engine(FixedController(4), seed=1)
-
     def test_make_engine_never_warns(self):
         app = self._app()
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             app.make_engine(FixedController(4), seed=1).run()
-
-    def test_shim_is_byte_identical_to_make_engine(self):
-        from repro.obs import TraceRecorder
-
-        rec_new = TraceRecorder()
-        self._app().make_engine(FixedController(4), seed=1, recorder=rec_new).run()
-
-        rec_old = TraceRecorder()
-        with pytest.warns(DeprecationWarning):
-            engine = self._app().build_engine(
-                FixedController(4), seed=1, recorder=rec_old
-            )
-        engine.run()
-        assert rec_old.to_jsonl() == rec_new.to_jsonl()
 
     def test_unified_signature_accepts_step_hook_and_engine(self):
         calls = []

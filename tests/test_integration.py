@@ -8,6 +8,7 @@ would spot-check.
 import numpy as np
 import pytest
 
+from repro import RunConfig, run
 from repro.control import (
     FixedController,
     HybridController,
@@ -40,20 +41,20 @@ class TestHeadlineClaims:
         settles = []
         for seed in range(3):
             wl = ReplayGraphWorkload(fig3_graph.copy())
-            eng = wl.build_engine(default_hybrid(0.2), seed=seed)
+            eng = wl.make_engine(default_hybrid(0.2), seed=seed)
             res = eng.run(max_steps=100)
             settles.append(res.settling_step(fig3_mu, band=0.35))
         assert np.median(settles) <= 20
 
     def test_recurrence_a_is_an_order_slower(self, fig3_graph, fig3_mu):
         wl = ReplayGraphWorkload(fig3_graph.copy())
-        eng = wl.build_engine(RecurrenceAController(0.2), seed=0)
+        eng = wl.make_engine(RecurrenceAController(0.2), seed=0)
         res = eng.run(max_steps=200)
         assert res.settling_step(fig3_mu, band=0.35) >= 50
 
     def test_hybrid_steady_state_hits_rho(self, fig3_graph):
         wl = ReplayGraphWorkload(fig3_graph.copy())
-        eng = wl.build_engine(default_hybrid(0.2), seed=5)
+        eng = wl.make_engine(default_hybrid(0.2), seed=5)
         res = eng.run(max_steps=120)
         assert res.r_trace[40:].mean() == pytest.approx(0.2, abs=0.05)
 
@@ -76,14 +77,14 @@ class TestHeadlineClaims:
     def test_rho_zero_pathology_of_remark1(self, fig3_graph):
         """Remark 1: chasing ρ→0 collapses the allocation to m_min."""
         wl = ReplayGraphWorkload(fig3_graph.copy())
-        eng = wl.build_engine(HybridController(0.005), seed=6)
+        eng = wl.make_engine(HybridController(0.005), seed=6)
         res = eng.run(max_steps=80)
         assert res.m_trace[-1] == 2
 
     def test_oracle_fixed_allocation_is_competitive(self, fig3_graph, fig3_mu):
         """Fixed at μ achieves r̄ ≈ ρ — the fixed point the paper defines."""
         wl = ReplayGraphWorkload(fig3_graph.copy())
-        eng = wl.build_engine(FixedController(fig3_mu), seed=7)
+        eng = wl.make_engine(FixedController(fig3_mu), seed=7)
         res = eng.run(max_steps=60)
         assert res.r_trace.mean() == pytest.approx(0.2, abs=0.05)
 
@@ -103,7 +104,7 @@ class TestContinuousDrift:
             wl.target_degree = int(4 + 36 * frac)
 
         ctrl = HybridController(0.2, m_max=512)
-        engine = wl.build_engine(ctrl, seed=13, step_hook=densify)
+        engine = wl.make_engine(ctrl, seed=13, step_hook=densify)
         res = engine.run(max_steps=steps_total)
         early = res.m_trace[30:60].mean()
         late = res.m_trace[-30:].mean()
@@ -115,12 +116,10 @@ class TestDrainingRun:
     def test_hybrid_tracks_decaying_parallelism(self):
         """On a consuming workload conflicts vanish as the graph drains;
         the controller should ramp m UP over time (more parallelism)."""
-        from repro.runtime import ConsumingGraphWorkload
-
-        g = gnm_random(3000, 20, seed=3)
-        wl = ConsumingGraphWorkload(g)
-        eng = wl.build_engine(HybridController(0.25, m_max=256), seed=4)
-        res = eng.run(max_steps=500)
+        res = run(
+            RunConfig(workload="consuming", rho=0.25, m_max=256, seed=4, max_steps=500),
+            graph=gnm_random(3000, 20, seed=3),
+        )
         ms = res.m_trace
         early = ms[8:28].mean()
         late_idx = min(len(ms) - 20, 200)
@@ -128,9 +127,7 @@ class TestDrainingRun:
         assert late > early
 
     def test_total_work_conserved(self):
-        from repro.runtime import ConsumingGraphWorkload
-
-        g = gnm_random(800, 10, seed=8)
-        wl = ConsumingGraphWorkload(g)
-        res = wl.build_engine(HybridController(0.25), seed=9).run()
+        res = run(
+            RunConfig(workload="consuming", rho=0.25, seed=9), graph=gnm_random(800, 10, seed=8)
+        )
         assert res.total_committed == 800

@@ -53,6 +53,6 @@ def test_paper_end_to_end_surface():
 
     graph = gnm_random(200, 8, seed=0)
     workload = ConsumingGraphWorkload(graph)
-    engine = workload.build_engine(HybridController(rho=0.25), seed=1)
+    engine = workload.make_engine(HybridController(rho=0.25), seed=1)
     result = engine.run()
     assert result.total_committed == 200
